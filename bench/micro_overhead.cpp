@@ -48,8 +48,9 @@ void BM_ProfilerRecord(benchmark::State& state) {
   pilot::Profiler profiler;
   std::uint64_t uid = 0;
   for (auto _ : state) {
-    profiler.record(common::SimTime(static_cast<std::int64_t>(uid)), pilot::Entity::kUnit,
-                    ++uid, "EXECUTING", "bench");
+    ++uid;
+    profiler.record(common::SimTime(static_cast<std::int64_t>(uid)), pilot::Entity::kUnit, uid,
+                    "EXECUTING", "bench");
     if (profiler.size() > 1u << 20) profiler.clear();
   }
   state.SetItemsProcessed(state.iterations());

@@ -17,7 +17,6 @@
 #include "bench/bench_util.hpp"
 #include "net/staging.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded_engine.hpp"
 
 namespace {
 
@@ -155,31 +154,6 @@ void BM_ConcurrentStaging(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_ConcurrentStaging);
-
-/// Coordination overhead of the sharded substrate: the same 10k-event burden
-/// as BM_EngineEventThroughput, spread round-robin across N shard engines and
-/// driven through the conservative window loop with one worker, so the delta
-/// against the single-engine case is pure windowing/barrier cost (no actual
-/// parallelism pollutes the per-event number).
-void BM_ShardedEngineEventThroughput(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    sim::ShardedEngine::Options options;
-    options.shards = shards;
-    options.workers = 1;
-    options.lookahead = common::SimDuration::millis(25);
-    sim::ShardedEngine world(options);
-    std::uint64_t fired = 0;
-    for (int i = 0; i < 10000; ++i) {
-      world.shard(static_cast<std::size_t>(i) % shards)
-          .schedule(common::SimDuration::millis(i % 500), [&fired] { ++fired; });
-    }
-    world.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_ShardedEngineEventThroughput)->Arg(1)->Arg(4)->Arg(8);
 
 }  // namespace
 

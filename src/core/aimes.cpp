@@ -1,9 +1,7 @@
 #include "core/aimes.hpp"
 
-#include <algorithm>
 #include <cassert>
 
-#include "cluster/shard_plan.hpp"
 #include "common/log.hpp"
 
 namespace aimes::core {
@@ -20,68 +18,13 @@ net::LinkSpec default_link(std::size_t site_index) {
   link.latency = common::SimDuration::millis(kLatencyMs[k]);
   return link;
 }
-
-/// Substrate shape for this world. The lookahead is the smallest WAN link
-/// latency the world can have (the links are known from the config alone,
-/// before the topology object exists), so every cross-shard interaction
-/// honors the conservative contract. Ambient grid sites have no links and
-/// never post, so only the testbed's links matter.
-sim::ShardedEngine::Options sharded_options(const AimesConfig& config) {
-  sim::ShardedEngine::Options options;
-  options.shards = config.sharding.shards < 1 ? 1 : static_cast<std::size_t>(config.sharding.shards);
-  options.workers =
-      config.sharding.shard_workers < 0 ? 1 : static_cast<std::size_t>(config.sharding.shard_workers);
-  common::SimDuration lookahead = common::SimDuration::max();
-  for (std::size_t i = 0; i < config.testbed.size(); ++i) {
-    const net::LinkSpec link =
-        i < config.links.size() ? config.links[i] : default_link(i);
-    lookahead = std::min(lookahead, link.latency);
-  }
-  if (lookahead <= common::SimDuration::zero() ||
-      lookahead == common::SimDuration::max()) {
-    lookahead = common::SimDuration::millis(25);
-  }
-  options.lookahead = lookahead;
-  return options;
-}
-
-/// Ambient grid sites cycle through a few machine-room shapes; ids start
-/// well above the testbed's so the two families never collide.
-constexpr std::uint64_t kGridSiteIdBase = 10000;
 }  // namespace
 
 Aimes::Aimes(AimesConfig config)
     : config_(std::move(config)),
-      sharded_(sharded_options(config_)),
-      engine_(sharded_.shard(0)),
       planner_rng_(common::Rng::stream(config_.seed, "aimes/planner")),
       exec_rng_(common::Rng::stream(config_.seed, "aimes/exec")) {
   testbed_ = std::make_unique<cluster::Testbed>(engine_, config_.testbed, config_.seed);
-
-  // Ambient machine-room sites: background weather partitioned across the
-  // shards. They interact with nothing (no links, no agents, no recorder),
-  // so the middleware's behavior — and its span checksums — is identical
-  // for every shard count; only the wall-clock cost of simulating them is
-  // spread over the workers.
-  if (config_.sharding.grid_sites > 0) {
-    const auto n = static_cast<std::size_t>(config_.sharding.grid_sites);
-    const auto plan = cluster::ShardPlan::round_robin(n, sharded_.shards());
-    for (std::size_t i = 0; i < n; ++i) {
-      cluster::SiteConfig site_config;
-      site_config.name = "grid-" + std::to_string(i);
-      site_config.nodes = 64;
-      site_config.cores_per_node = 8;
-      cluster::WorkloadConfig load;
-      load.horizon = config_.warmup + load.horizon;
-      sim::Engine& engine = sharded_.shard(plan.shard_of(i));
-      grid_sites_.push_back(std::make_unique<cluster::ClusterSite>(
-          engine, common::SiteId(kGridSiteIdBase + i), site_config,
-          common::Rng::stream(config_.seed, "site/" + site_config.name)));
-      grid_load_.push_back(std::make_unique<cluster::WorkloadGenerator>(
-          engine, *grid_sites_.back(), load,
-          common::Rng::stream(config_.seed, "workload/" + site_config.name)));
-    }
-  }
 
   // Observability hub first, so every layer below can register its gauges
   // during construction (registration order = construction order, which
@@ -123,36 +66,17 @@ Aimes::Aimes(AimesConfig config)
 }
 
 bool Aimes::run_world_while(const std::function<bool()>& keep_going) {
-  if (config_.sharding.shards >= 1) return sharded_.run_while(keep_going);
   bool stepped = true;
   while (keep_going() && (stepped = engine_.step())) {
   }
   return stepped;
 }
 
-void Aimes::run_world_for(common::SimDuration duration) {
-  if (config_.sharding.shards >= 1) {
-    sharded_.run_until(sharded_.now() + duration);
-  } else {
-    engine_.run_until(engine_.now() + duration);
-  }
-}
-
-void Aimes::run_world_until(common::SimTime t) {
-  if (config_.sharding.shards >= 1) {
-    if (t > sharded_.now()) sharded_.run_until(t);
-  } else {
-    if (t > engine_.now()) engine_.run_until(t);
-  }
-}
-
 void Aimes::start() {
   assert(!started_);
   started_ = true;
   testbed_->prime_and_start();
-  for (auto& generator : grid_load_) generator->prime();
-  for (auto& generator : grid_load_) generator->start();
-  run_world_for(config_.warmup);
+  engine_.run_until(engine_.now() + config_.warmup);
   world_ready_ = engine_.now();
 
   // Sampling starts at "world ready": warmup noise stays out of the series
@@ -227,7 +151,7 @@ RunResult Aimes::execute(const skeleton::SkeletonApplication& app,
   }
   // Let pilot cancellations settle so the resources are released before the
   // next run on this world.
-  run_world_for(common::SimDuration::minutes(1));
+  engine_.run_until(engine_.now() + common::SimDuration::minutes(1));
   result.report = manager.report();
   return result;
 }
@@ -277,7 +201,7 @@ common::Expected<CampaignRunResult> Aimes::run_campaign(
   }
   // Let pilot cancellations settle so the resources are released before the
   // next run on this world.
-  run_world_for(common::SimDuration::minutes(1));
+  engine_.run_until(engine_.now() + common::SimDuration::minutes(1));
   result.report = executor.report();
   return result;
 }

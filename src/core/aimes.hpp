@@ -33,30 +33,13 @@
 #include "saga/job_service.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
-#include "sim/sharded_engine.hpp"
 
 namespace aimes::core {
 
-/// Intra-trial sharding (ROADMAP item 2), grouped so every layer that
-/// forwards the three knobs (WorldTweaks, RunRequest, AimesConfig) passes
-/// one struct instead of three loose ints.
-struct ShardingConfig {
-  /// 0 = the legacy single-engine drive loop, event-for-event identical to
-  /// pre-sharding builds. N >= 1 drives the world in conservative lock-step
-  /// windows on a sim::ShardedEngine of N shards: the middleware/testbed
-  /// group stays on shard 0 and `grid_sites` ambient sites spread across
-  /// all shards. Reports, aggregates, and span checksums are bit-identical
-  /// for every N >= 1 (asserted by the sharded differential tests).
-  int shards = 0;
-  /// Ambient machine-room sites beyond the testbed: background weather the
-  /// planner never targets (no WAN links, no bundle agents), partitioned
-  /// across the shards by a cluster::ShardPlan. This is the load a sharded
-  /// Aimes run parallelizes.
-  int grid_sites = 0;
-  /// Worker threads for sharded runs (0 = min(shards, hardware)). A
-  /// throughput knob only: it never affects simulation results.
-  int shard_workers = 0;
-};
+/// Empty. Its one use is `config.sharding = tweaks.sharding;` at
+/// perfbench/src/sim.cpp:239; it goes, with AimesConfig::sharding and
+/// exp::WorldTweaks::sharding, when that line does.
+struct ShardingConfig {};
 
 /// Fault injection for one world. Wraps the plan so fault-related knobs
 /// added later live beside it instead of loose in AimesConfig.
@@ -94,7 +77,7 @@ struct AimesConfig {
   /// default; when enabled, a Recorder is created with the world and every
   /// layer emits spans/metrics into it alongside the flat Profiler trace.
   ObsConfig observability;
-  /// Intra-trial sharding (all zero = legacy single-engine world).
+  /// Empty; see ShardingConfig.
   ShardingConfig sharding;
 };
 
@@ -134,12 +117,10 @@ class Aimes {
   void start();
 
   // --- Component access (the virtual laboratory's instruments) ---
-  /// The middleware shard's engine (shard 0; the only shard unless the
-  /// config asked for more).
+  /// The world's one event engine.
   [[nodiscard]] sim::Engine& engine() { return engine_; }
-  /// The sharded substrate (a single-shard coordinator in legacy mode).
-  /// Aggregated stats — executed(), peak_queued() — cover every shard.
-  [[nodiscard]] sim::ShardedEngine& world() { return sharded_; }
+  /// Same as engine(); perfbench/src/sim.cpp still calls it by this name.
+  [[nodiscard]] sim::Engine& world() { return engine_; }
   [[nodiscard]] cluster::Testbed& testbed() { return *testbed_; }
   [[nodiscard]] bundle::BundleManager& bundles() { return bundle_manager_; }
   [[nodiscard]] net::StagingService& staging() { return *staging_; }
@@ -172,11 +153,6 @@ class Aimes {
   common::Expected<CampaignRunResult> run_campaign(std::vector<CampaignTenantSpec> tenants,
                                                    const CampaignOptions& options);
 
-  /// Advances the whole world (every shard) to absolute time `t`; no-op when
-  /// `t` is in the past. Callers that used to drive `engine().run_until()`
-  /// between runs should use this so sharded worlds stay in lock-step.
-  void run_world_until(common::SimTime t);
-
   /// Staged dynamic execution (paper §V): the application runs stage by
   /// stage; before *each* stage the planner re-derives a strategy sized to
   /// that stage from the bundle's *current* information, so the coupling
@@ -188,22 +164,12 @@ class Aimes {
                                                    const PlannerConfig& planner);
 
  private:
-  /// Drives virtual time forward while `keep_going()` holds: the legacy
-  /// step loop when config_.sharding.shards == 0, conservative windows
-  /// otherwise.
-  /// Returns false if the world ran out of events first.
+  /// Steps events while `keep_going()` holds. Returns false if the world
+  /// ran out of events first.
   bool run_world_while(const std::function<bool()>& keep_going);
-  /// Advances the whole world (every shard) by `duration`.
-  void run_world_for(common::SimDuration duration);
 
   AimesConfig config_;
-  sim::ShardedEngine sharded_;
-  /// Shard 0: the middleware, testbed, topology, and staging all live here.
-  sim::Engine& engine_;
-  /// Ambient grid sites (config_.sharding.grid_sites), partitioned across
-  /// shards.
-  std::vector<std::unique_ptr<cluster::ClusterSite>> grid_sites_;
-  std::vector<std::unique_ptr<cluster::WorkloadGenerator>> grid_load_;
+  sim::Engine engine_;
   std::unique_ptr<obs::Recorder> recorder_;
   std::unique_ptr<sim::FaultInjector> fault_injector_;
   std::unique_ptr<cluster::Testbed> testbed_;

@@ -122,7 +122,6 @@ CampaignTrialResult run_campaign_trial(const CampaignSpec& spec, std::uint64_t s
   config.execution.units.unit_failure_probability = tweaks.unit_failure_probability;
   config.faults = tweaks.faults;
   config.observability = tweaks.observability;
-  config.sharding = tweaks.sharding;
 
   core::Aimes aimes(config);
   aimes.start();
@@ -141,7 +140,7 @@ CampaignTrialResult run_campaign_trial(const CampaignSpec& spec, std::uint64_t s
     result.success = true;
     for (int i = 0; i < spec.n_tenants; ++i) {
       const common::SimTime arrival = start + arrivals[static_cast<std::size_t>(i)];
-      aimes.run_world_until(arrival);
+      if (arrival > aimes.engine().now()) aimes.engine().run_until(arrival);
       const auto app = make_tenant_app(spec, i, seed);
       auto run = aimes.run(app, planner);
       common::SimTime finish = aimes.engine().now();

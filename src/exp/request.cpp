@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -124,6 +126,22 @@ common::Status parse_slo_class(const std::string& text, core::SloClass& out) {
 }
 
 common::Status validate(const RunRequest& req) {
+  // NaN passes every range comparison below, and the seconds/hours fields
+  // later become integer milliseconds; refuse non-finite values up front.
+  const std::pair<const char*, double> reals[] = {
+      {"warmup_hours", req.warmup_hours},
+      {"deadline_s", req.deadline_s},
+      {"campaign.arrival", req.campaign.arrival.poisson_per_hour},
+      {"faults.pilot_failure_rate", req.faults.pilot_failure_rate},
+      {"admission.quota", req.admission.quota.max_core_hours},
+      {"admission.max_queue_wait_s", req.admission.max_queue_wait_s},
+      {"admission.breaker_threshold", req.admission.breaker_threshold},
+      {"admission.breaker_cooldown_s", req.admission.breaker_cooldown_s},
+      {"observability.sample_interval_s", req.observability.sample_interval_s},
+  };
+  for (const auto& [path, value] : reals) {
+    if (!std::isfinite(value)) return field_error(path, "must be a finite number");
+  }
   if (req.tasks < 1 || req.tasks > 10000000) {
     return field_error("tasks", "must be in [1, 10000000]");
   }
@@ -200,8 +218,9 @@ common::Status validate(const RunRequest& req) {
   if (auto st = parse_slo_class(a.slo, slo_class); !st.ok()) {
     return field_error("admission.slo", st.error());
   }
-  if (a.max_queue_wait_s < 0.0) {
-    return field_error("admission.max_queue_wait_s", "must be >= 0 (0 keeps the default)");
+  if (a.max_queue_wait_s < 0.0 || a.max_queue_wait_s > 1e9) {
+    return field_error("admission.max_queue_wait_s",
+                       "must be in [0, 1e9] (0 keeps the default)");
   }
   if (a.breaker_threshold != 0.0 &&
       (a.breaker_threshold < 0.01 || a.breaker_threshold > 1.0)) {
@@ -211,24 +230,15 @@ common::Status validate(const RunRequest& req) {
   if (a.breaker_min_events < 0) {
     return field_error("admission.breaker_min_events", "must be >= 0");
   }
-  if (a.breaker_cooldown_s < 0.0) {
-    return field_error("admission.breaker_cooldown_s", "must be >= 0");
+  if (a.breaker_cooldown_s < 0.0 || a.breaker_cooldown_s > 1e9) {
+    return field_error("admission.breaker_cooldown_s", "must be in [0, 1e9]");
   }
 
-  if (req.sharding.shards < 0 || req.sharding.shards > 4096) {
-    return field_error("sharding.shards", "must be in [0, 4096]");
-  }
-  if (req.sharding.grid_sites < 0 || req.sharding.grid_sites > 100000) {
-    return field_error("sharding.grid_sites", "must be in [0, 100000]");
-  }
-  if (req.sharding.shard_workers < 0 || req.sharding.shard_workers > 4096) {
-    return field_error("sharding.shard_workers", "must be in [0, 4096]");
-  }
   if (req.faults.pilot_failure_rate < 0.0 || req.faults.pilot_failure_rate > 1.0) {
     return field_error("faults.pilot_failure_rate", "must be in [0, 1]");
   }
-  if (req.observability.sample_interval_s <= 0.0) {
-    return field_error("observability.sample_interval_s", "must be > 0");
+  if (req.observability.sample_interval_s <= 0.0 || req.observability.sample_interval_s > 1e6) {
+    return field_error("observability.sample_interval_s", "must be in (0, 1e6]");
   }
   return {};
 }
@@ -262,11 +272,6 @@ std::string run_request_to_json(const RunRequest& req) {
   out << "    \"tenants\": " << c.tenants << ",\n";
   out << "    \"arrival\": \"" << arrival_to_string(c.arrival) << "\",\n";
   out << "    \"mode\": \"" << to_string(c.mode) << "\"\n";
-  out << "  },\n";
-  out << "  \"sharding\": {\n";
-  out << "    \"shards\": " << req.sharding.shards << ",\n";
-  out << "    \"grid_sites\": " << req.sharding.grid_sites << ",\n";
-  out << "    \"shard_workers\": " << req.sharding.shard_workers << "\n";
   out << "  },\n";
   out << "  \"faults\": {\n";
   out << "    \"plan_file\": \"" << core::json::escape(req.faults.plan_file) << "\",\n";
@@ -310,6 +315,10 @@ common::Status take_int(const core::json::FieldScanner& scan, const std::string&
   if (!scan.has(key)) return {};
   auto v = scan.number(key);
   if (!v) return common::Status::error(v.error());
+  // Range-check before the cast: an out-of-range (or NaN) conversion is UB.
+  if (!(*v >= std::numeric_limits<int>::min() && *v <= std::numeric_limits<int>::max())) {
+    return common::Status::error(scan.describe(key) + ": expected an int");
+  }
   dst = static_cast<int>(*v);
   return {};
 }
@@ -337,7 +346,10 @@ common::Status take_u64(const core::json::FieldScanner& scan, const std::string&
   if (!scan.has(key)) return {};
   auto v = scan.number(key);
   if (!v) return common::Status::error(v.error());
-  if (*v < 0) return common::Status::error(scan.describe(key) + ": expected >= 0");
+  // 2^64 itself is out of range; the negated form also refuses NaN.
+  if (!(*v >= 0 && *v < 18446744073709551616.0)) {
+    return common::Status::error(scan.describe(key) + ": expected an integer in [0, 2^64)");
+  }
   dst = static_cast<std::uint64_t>(*v);
   return {};
 }
@@ -422,12 +434,20 @@ common::Expected<RunRequest> parse_run_request(const std::string& origin,
       }
     }
   }
+  // Intra-trial sharding is gone, but journals written while it existed
+  // carry an all-zero "sharding" object on every submit line. Zeros are
+  // accepted and ignored; any other value is refused by name.
   if (top.has("sharding")) {
     auto scan = top.object("sharding");
     if (!scan) return E::error(scan.error());
-    AIMES_TAKE(take_int(*scan, "shards", req.sharding.shards));
-    AIMES_TAKE(take_int(*scan, "grid_sites", req.sharding.grid_sites));
-    AIMES_TAKE(take_int(*scan, "shard_workers", req.sharding.shard_workers));
+    for (const char* key : {"shards", "grid_sites", "shard_workers"}) {
+      int value = 0;
+      AIMES_TAKE(take_int(*scan, key, value));
+      if (value != 0) {
+        return E::error(scan->describe(key) +
+                        ": intra-trial sharding was removed; only 0 is accepted");
+      }
+    }
   }
   if (top.has("faults")) {
     auto scan = top.object("faults");
@@ -509,7 +529,6 @@ common::Expected<ResolvedRun> resolve(const RunRequest& req) {
   run.is_campaign = req.is_campaign();
 
   run.tweaks.warmup = common::SimDuration::hours(req.warmup_hours);
-  run.tweaks.sharding = req.sharding;
   run.tweaks.observability.enabled = req.observability.enabled;
   run.tweaks.observability.sample_interval =
       common::SimDuration::seconds(req.observability.sample_interval_s);

@@ -4,7 +4,7 @@
 // REST handler — used to assemble its own (flags -> WorldTweaks/CampaignSpec/
 // PlannerConfig) plumbing, each with its own defaults and its own drift. A
 // RunRequest is the one description of "run this scenario": profile or
-// skeleton, strategy, trials/jobs, sharding, faults, admission, observability.
+// skeleton, strategy, trials/jobs, faults, admission, observability.
 // Both the CLI flag mapper (request_cli.hpp) and the HTTP JSON deserializer
 // land on this struct and call the same execute(), so a campaign submitted
 // via `aimesc` is bit-identical (FNV-1a checksum) to the same cell run via
@@ -105,7 +105,6 @@ struct RunRequest {
   double deadline_s = 0.0;
   StrategyRequest strategy;
   CampaignRequest campaign;
-  core::ShardingConfig sharding;
   FaultRequest faults;
   AdmissionRequest admission;
   ObsRequest observability;

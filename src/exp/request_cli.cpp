@@ -35,20 +35,6 @@ void declare_request_options(common::cli::Parser& cli, RunRequest& req, bool& qu
                  "concurrency; 1 = serial). Aggregates are\n"
                  "bit-identical for every M",
                  "M");
-  cli.int_option("--shards", req.sharding.shards, 0, 4096,
-                 "intra-trial shards: partition each world's sites\n"
-                 "across N engines driven in conservative lock-step\n"
-                 "windows (default 0 = classic single-engine drive).\n"
-                 "Results are bit-identical for every N >= 1",
-                 "N");
-  cli.int_option("--grid-sites", req.sharding.grid_sites, 0, 100000,
-                 "ambient background sites spread across the shards\n"
-                 "(default 0); the load --shards parallelizes");
-  cli.int_option("--shard-workers", req.sharding.shard_workers, 0, 4096,
-                 "worker threads per sharded trial (default 0 =\n"
-                 "min(shards, hardware)); wall clock only, never\n"
-                 "results. Keep at 1 when sweeping --jobs",
-                 "W");
   cli.double_option("--warmup", req.warmup_hours, 0.0, 24.0 * 365.0,
                     "background warmup hours (6)", "H");
   cli.double_option("--deadline", req.deadline_s, 0.1, 24.0 * 3600.0 * 365.0,

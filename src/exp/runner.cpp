@@ -13,8 +13,8 @@ namespace {
 /// is the caller's measurement (simulation wall clock, not setup).
 EngineStats engine_stats(core::Aimes& aimes, double wall_seconds) {
   EngineStats stats;
-  stats.events_executed = aimes.world().executed();
-  stats.peak_queued = aimes.world().peak_queued();
+  stats.events_executed = aimes.engine().executed();
+  stats.peak_queued = aimes.engine().peak_queued();
   stats.wall_seconds = wall_seconds;
   stats.events_per_second =
       wall_seconds > 1e-9 ? static_cast<double>(stats.events_executed) / wall_seconds : 0.0;
@@ -39,7 +39,6 @@ TrialResult run_trial(const AppSpec& app, std::uint64_t seed, const WorldTweaks&
   config.execution.recovery = tweaks.recovery;
   config.faults = tweaks.faults;
   config.observability = tweaks.observability;
-  config.sharding = tweaks.sharding;
 
   const auto wall_start = std::chrono::steady_clock::now();
   core::Aimes aimes(config);

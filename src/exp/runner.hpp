@@ -93,10 +93,7 @@ struct WorldTweaks {
   /// Also render the Chrome-trace/Prometheus/CSV artifacts into the trial's
   /// Snapshot (they can be large; summaries are always filled).
   bool obs_artifacts = false;
-  /// Intra-trial sharding, forwarded to core::AimesConfig (all zero = legacy
-  /// single-engine drive; bit-identical for every shard count — the
-  /// `--shards` axis, orthogonal to the across-trial `jobs` axis). Benches
-  /// sweeping `jobs` keep shard_workers at 1.
+  /// Empty; see core::ShardingConfig.
   core::ShardingConfig sharding;
 };
 

@@ -32,6 +32,10 @@ namespace {
 constexpr std::size_t kMaxMessageBytes = 1 << 20;
 /// Per-connection read timeout; a stalled client cannot wedge the loop.
 constexpr int kIoTimeoutMs = 5000;
+/// Lingering close after an early error response: how much unread input the
+/// server discards, and for how long, before it closes.
+constexpr std::size_t kDrainCapBytes = 4 * kMaxMessageBytes;
+constexpr int kDrainTimeoutMs = 1000;
 
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -97,6 +101,28 @@ bool send_all(int fd, const std::string& text) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+/// Reads and discards input until EOF, kDrainCapBytes or kDrainTimeoutMs.
+/// Closing a socket with unread input makes the kernel send a reset, which
+/// can destroy a response the peer has not read yet; draining first lets an
+/// early error response (413, 400) reach a client that is still sending.
+void drain_input(int fd) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(kDrainTimeoutMs);
+  char chunk[4096];
+  std::size_t drained = 0;
+  while (drained < kDrainCapBytes) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return;
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) return;
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;
+    drained += static_cast<std::size_t>(n);
+  }
 }
 
 /// Splits `text` into (start-line, headers, body) and fills `headers`/`body`.
@@ -660,6 +686,12 @@ void HttpServer::handle_connection(int conn) {
   } else {
     send_all(conn, render_http_response(response));
   }
+  if (!message) {
+    // The request was not read in full (oversized, malformed framing): the
+    // client may still be sending. Signal end of response, then drain.
+    ::shutdown(conn, SHUT_WR);
+    drain_input(conn);
+  }
   ::shutdown(conn, SHUT_RDWR);
   ::close(conn);
 }
@@ -670,15 +702,16 @@ common::Expected<HttpResponse> http_call(const Endpoint& endpoint, const HttpReq
   auto fd = open_client_fd(endpoint, connect_timeout_ms);
   if (!fd) return E::error(fd.error());
   const std::string host = endpoint.is_unix() ? "localhost" : endpoint.describe();
-  if (!send_all(*fd, render_http_request(request, host))) {
-    ::close(*fd);
-    return E::error("send failed");
-  }
+  // A server may answer early (413 at the size cap) and stop reading, which
+  // fails the rest of the send; its response can still be waiting.
+  const bool sent = send_all(*fd, render_http_request(request, host));
   ::shutdown(*fd, SHUT_WR);
   auto message = read_message(*fd);
   ::close(*fd);
-  if (!message) return E::error(message.error());
-  return parse_http_response(*message);
+  if (!message) return E::error(sent ? message.error() : "send failed");
+  auto response = parse_http_response(*message);
+  if (!response && !sent) return E::error("send failed");
+  return response;
 }
 
 common::Expected<HttpResponse> http_call(std::uint16_t port, const HttpRequest& request) {
@@ -693,11 +726,13 @@ common::Expected<HttpResponse> http_stream(const Endpoint& endpoint, const HttpR
   if (!opened) return E::error(opened.error());
   const int fd = *opened;
   const std::string host = endpoint.is_unix() ? "localhost" : endpoint.describe();
-  if (!send_all(fd, render_http_request(request, host))) {
-    ::close(fd);
-    return E::error("send failed");
-  }
+  // As in http_call, a failed send still looks for an early response.
+  const bool sent = send_all(fd, render_http_request(request, host));
   ::shutdown(fd, SHUT_WR);
+  const auto fail_head = [&](const std::string& error) {
+    ::close(fd);
+    return E::error(sent ? error : "send failed");
+  };
 
   // Read the header block, then hand the rest to the chunk decoder as it
   // arrives — the whole point over http_call is not waiting for EOF.
@@ -707,26 +742,15 @@ common::Expected<HttpResponse> http_stream(const Endpoint& endpoint, const HttpR
   while (head_end == std::string::npos) {
     pollfd pfd{fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, idle_timeout_ms);
-    if (ready <= 0) {
-      ::close(fd);
-      return E::error("stream idle timeout waiting for headers");
-    }
+    if (ready <= 0) return fail_head("stream idle timeout waiting for headers");
     const ssize_t n = net_recv(fd, chunk, sizeof chunk);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return E::error(std::string("recv: ") + err);
+      return fail_head(std::string("recv: ") + std::strerror(errno));
     }
-    if (n == 0) {
-      ::close(fd);
-      return E::error("connection closed before headers completed");
-    }
+    if (n == 0) return fail_head("connection closed before headers completed");
     buf.append(chunk, static_cast<std::size_t>(n));
-    if (buf.size() > kMaxMessageBytes) {
-      ::close(fd);
-      return E::error("oversized header block");
-    }
+    if (buf.size() > kMaxMessageBytes) return fail_head("oversized header block");
     head_end = buf.find("\r\n\r\n");
   }
 
@@ -736,15 +760,11 @@ common::Expected<HttpResponse> http_stream(const Endpoint& endpoint, const HttpR
     std::string ignored_body;
     auto start = parse_message(buf.substr(0, head_end + 4), res.headers, ignored_body,
                                /*head_only=*/true);
-    if (!start) {
-      ::close(fd);
-      return E::error(start.error());
-    }
+    if (!start) return fail_head(start.error());
     std::istringstream parts(*start);
     std::string version;
     if (!(parts >> version >> res.status) || version.rfind("HTTP/", 0) != 0) {
-      ::close(fd);
-      return E::error("malformed status line '" + *start + "'");
+      return fail_head("malformed status line '" + *start + "'");
     }
   }
   const auto ct = res.headers.find("content-type");

@@ -26,14 +26,6 @@ Expected<SimDuration> Topology::ideal_duration(SiteId site, Direction dir, DataS
   return l->latency + SimDuration::seconds(secs);
 }
 
-SimDuration Topology::min_latency() const {
-  SimDuration best = SimDuration::max();
-  for (const auto& [id, ch] : channels_) {
-    best = std::min(best, std::min(ch.in.latency, ch.out.latency));
-  }
-  return best == SimDuration::max() ? SimDuration::zero() : best;
-}
-
 std::vector<SiteId> Topology::sites() const {
   std::vector<SiteId> out;
   out.reserve(channels_.size());

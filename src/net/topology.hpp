@@ -52,12 +52,6 @@ class Topology {
 
   [[nodiscard]] std::vector<SiteId> sites() const;
 
-  /// Smallest latency over every registered channel (both directions) — the
-  /// conservative lookahead of a sharded run: no cross-site interaction can
-  /// land sooner than this after it was initiated. Zero when no site is
-  /// registered (callers fall back to a default window).
-  [[nodiscard]] SimDuration min_latency() const;
-
  private:
   struct Channels {
     LinkSpec in;

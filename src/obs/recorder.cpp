@@ -1,26 +1,10 @@
 #include "obs/recorder.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "obs/trace_export.hpp"
 
 namespace aimes::obs {
-
-Snapshot merge_snapshots(const std::vector<Snapshot>& parts) {
-  Snapshot merged;
-  merged.span_checksum = 1469598103934665603ULL;  // FNV offset basis
-  for (const Snapshot& part : parts) {
-    merged.span_checksum ^= part.span_checksum;
-    merged.span_checksum *= 1099511628211ULL;  // FNV prime
-    merged.span_count += part.span_count;
-    merged.instant_count += part.instant_count;
-    merged.max_span_depth = std::max(merged.max_span_depth, part.max_span_depth);
-    merged.metric_count += part.metric_count;
-    merged.sample_count += part.sample_count;
-  }
-  return merged;
-}
 
 void Recorder::start_sampling(common::SimDuration interval) {
   if (interval <= common::SimDuration::zero()) return;

@@ -43,17 +43,6 @@ struct Snapshot {
   std::string csv;
 };
 
-/// Deterministic merge of per-group snapshots from a sharded run.
-///
-/// Sharded worlds keep one Recorder per *group* (per site, plus one for the
-/// origin/control group) rather than per shard: a group's span stream is a
-/// pure function of the seed, while a shard's would interleave whichever
-/// groups the ShardPlan packed together and change with the shard count.
-/// Merging in group order — FNV-1a fold of the span checksums, sums for the
-/// counts — therefore yields the same Snapshot for every `--shards` value,
-/// which the sharded differential tests assert.
-[[nodiscard]] Snapshot merge_snapshots(const std::vector<Snapshot>& parts);
-
 class Recorder {
  public:
   explicit Recorder(sim::Engine& engine) : engine_(engine) {}

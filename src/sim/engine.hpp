@@ -91,13 +91,6 @@ class Engine {
   /// immediately, so there is no tombstone slack to misreport.
   [[nodiscard]] std::size_t queued() const { return heap_.size(); }
 
-  /// Timestamp of the earliest pending event, or SimTime::max() when idle.
-  /// The ShardedEngine coordinator reads this between windows to derive the
-  /// next conservative synchronization horizon.
-  [[nodiscard]] SimTime next_when() const {
-    return heap_.empty() ? SimTime::max() : SimTime(heap_.front().when_ms);
-  }
-
   /// Total events executed since construction (for the substrate benches).
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 

@@ -22,6 +22,12 @@ struct StormCase {
   double preemption_mean_h;  // 0 = off
 };
 
+// Nodes x cores per node. Without a printer GoogleTest dumps the raw bytes,
+// pointers included, into every test name, so the names changed per run.
+std::ostream& operator<<(std::ostream& out, const StormCase& c) {
+  return out << c.nodes << 'x' << c.cores_per_node;
+}
+
 class SiteStorm : public ::testing::TestWithParam<StormCase> {};
 
 TEST_P(SiteStorm, ConservationUnderRandomStorm) {

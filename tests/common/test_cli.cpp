@@ -3,6 +3,7 @@
 // instead of hand-rolled post-parse checks.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -23,6 +24,12 @@ TEST(CliParse, StrictIntAndDoubleRejectGarbageAndRange) {
   EXPECT_TRUE(parse_double("0.5", 0.0, 1.0).ok());
   EXPECT_FALSE(parse_double("0.5pt", 0.0, 1.0).ok());
   EXPECT_FALSE(parse_double("1.5", 0.0, 1.0).ok());
+  // NaN passes both range comparisons, and an unbounded range admits inf.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e999"}) {
+    EXPECT_FALSE(parse_double(text, -inf, inf).ok()) << text;
+    EXPECT_FALSE(parse_double(text, 0.0, 1e9).ok()) << text;
+  }
 }
 
 TEST(CliParser, ParsesFlagsAndValuesAndTracksSeen) {

@@ -123,6 +123,39 @@ TEST(Journal, RoundTripsCompletedRunWithLogProgressAndResult) {
   EXPECT_GT(record.finished_at, 0);
 }
 
+TEST(Journal, ReplaysJournalWrittenWithTheLegacyShardingObject) {
+  // Verbatim from `aimesd --journal` before intra-trial sharding was removed:
+  // the submit line's request carries an all-zero "sharding" object.
+  const std::string legacy = R"jsonl({"event": "submit", "id": 1, "at": 1792532473, "user": "anon", "name": "bag-gaussian-4", "idempotency_key": "9c5608899e65cdc8c50ddd0aeced8869", "request": {   "name": "",   "user": "",   "profile": "bag-gaussian",   "skeleton_file": "",   "testbed_file": "",   "tasks": 4,   "warmup_hours": 1,   "seed": 3,   "trials": 2,   "jobs": 1,   "deadline_s": 0,   "strategy": {     "experiment": 0,     "binding": "late",     "scheduler": "",     "pilots": 2,     "selection": "predicted"   },   "campaign": {     "tenants": 0,     "arrival": "fixed:1200",     "mode": "shared"   },   "sharding": {     "shards": 0,     "grid_sites": 0,     "shard_workers": 0   },   "faults": {     "plan_file": "",     "pilot_failure_rate": 0   },   "admission": {     "enabled": false,     "quota": "0:0:0",     "slo": "standard",     "max_queue_wait_s": 0,     "breaker": false,     "breaker_threshold": 0,     "breaker_min_events": 0,     "breaker_cooldown_s": 0   },   "observability": {     "enabled": false,     "sample_interval_s": 30,     "artifacts": false   } }}
+{"event": "start", "id": 1, "at": 1792532473}
+{"event": "progress", "id": 1, "progress": {"trials_done": 0, "trials_total": 2, "units_done": 0, "units_failed": 0, "vt_s": 0, "checksum": "14650fb0739d0383", "tenants_admitted": 0, "tenants_shed": 0, "pilots_resubmitted": 0, "faults_injected": 0}}
+{"event": "progress", "id": 1, "progress": {"trials_done": 1, "trials_total": 2, "units_done": 4, "units_failed": 0, "vt_s": 2122.24, "checksum": "44bd2bd473ccf799", "tenants_admitted": 0, "tenants_shed": 0, "pilots_resubmitted": 0, "faults_injected": 0}}
+{"event": "log", "id": 1, "line": "trial 1/2: ttc 35m22s"}
+{"event": "progress", "id": 1, "progress": {"trials_done": 2, "trials_total": 2, "units_done": 8, "units_failed": 0, "vt_s": 2122.24, "checksum": "9a691300c548b8fb", "tenants_admitted": 0, "tenants_shed": 0, "pilots_resubmitted": 0, "faults_injected": 0}}
+{"event": "log", "id": 1, "line": "trial 2/2: ttc 18m31s"}
+{"event": "log", "id": 1, "line": "done"}
+{"event": "finish", "id": 1, "at": 1792532473, "state": "done", "cancel_reason": "none", "fail_reason": "none", "result": {   "ok": true,   "success": true,   "cancelled": false,   "error": "",   "kind": "single",   "trials_requested": 2,   "trials_completed": 2,   "checksum": "9a691300c548b8fb",   "wall_seconds": 0.0055794,   "progress_events": 3,   "progress": {"trials_done": 2, "trials_total": 2, "units_done": 8, "units_failed": 0, "vt_s": 2122.24, "checksum": "9a691300c548b8fb", "tenants_admitted": 0, "tenants_shed": 0, "pilots_resubmitted": 0, "faults_injected": 0},   "failures": 0,   "tasks": 4,   "ttc_mean_s": 1616.83,   "ttc_stddev_s": 714.748,   "tw_mean_s": 135,   "tx_mean_s": 1480.66,   "ts_mean_s": 3.0335,   "events_executed": 2824 }}
+)jsonl";
+  const std::string path = temp_journal("legacy-sharding");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << legacy;
+  }
+  auto replay = ctl::replay_journal(path);
+  ASSERT_TRUE(replay.ok()) << replay.error();
+  EXPECT_EQ(replay->malformed_lines, 0u);
+  ASSERT_EQ(replay->records.size(), 1u);
+  const ctl::RunRecord& record = replay->records[0];
+  EXPECT_EQ(record.state, ctl::RunState::kDone);
+  EXPECT_EQ(record.request.tasks, 4);
+  EXPECT_EQ(record.request.seed, 3u);
+  EXPECT_EQ(record.idempotency_key, "9c5608899e65cdc8c50ddd0aeced8869");
+  ASSERT_EQ(record.progress.size(), 3u);
+  EXPECT_EQ(record.log.back(), "done");
+  EXPECT_TRUE(record.result.ok);
+  EXPECT_EQ(record.result.checksum, 0x9a691300c548b8fbULL);
+}
+
 TEST(Journal, ReplayIsIdempotent) {
   const std::string path = temp_journal("idempotent");
   std::remove(path.c_str());

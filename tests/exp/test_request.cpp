@@ -9,7 +9,9 @@
 //      daemon submission reproduces a CLI run.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/request.hpp"
@@ -42,9 +44,6 @@ TEST(RunRequestJson, RoundTripPreservesEveryField) {
   req.strategy.scheduler = "direct";
   req.strategy.pilots = 5;
   req.strategy.selection = "random";
-  req.sharding.shards = 2;
-  req.sharding.grid_sites = 3;
-  req.sharding.shard_workers = 2;
   req.observability.enabled = true;
   req.observability.sample_interval_s = 10.0;
 
@@ -64,7 +63,6 @@ TEST(RunRequestJson, RoundTripPreservesEveryField) {
   EXPECT_EQ(parsed->strategy.scheduler, "direct");
   EXPECT_EQ(parsed->strategy.pilots, 5);
   EXPECT_EQ(parsed->strategy.selection, "random");
-  EXPECT_EQ(parsed->sharding.shards, 2);
   EXPECT_TRUE(parsed->observability.enabled);
   EXPECT_DOUBLE_EQ(parsed->observability.sample_interval_s, 10.0);
 }
@@ -110,6 +108,107 @@ TEST(RunRequestJson, ErrorsCarryDottedPathAndByteOffset) {
 TEST(RunRequestJson, RejectsGarbageDocument) {
   EXPECT_FALSE(exp::parse_run_request("request body", "not json at all").ok());
   EXPECT_FALSE(exp::parse_run_request("request body", "").ok());
+}
+
+TEST(RunRequestJson, NonFiniteAndOutOfRangeNumbersAreRefusedByField) {
+  const struct {
+    const char* json;
+    const char* field;
+  } cases[] = {
+      {R"({"warmup_hours": nan})", "'warmup_hours'"},
+      {R"({"faults": {"pilot_failure_rate": nan}})", "'faults.pilot_failure_rate'"},
+      {R"({"observability": {"sample_interval_s": nan}})",
+       "'observability.sample_interval_s'"},
+      {R"({"observability": {"sample_interval_s": 1e300}})",
+       "'observability.sample_interval_s'"},
+      {R"({"admission": {"max_queue_wait_s": inf}})", "'admission.max_queue_wait_s'"},
+      {R"({"admission": {"breaker_cooldown_s": 1e300}})", "'admission.breaker_cooldown_s'"},
+      {R"({"seed": 1e30})", "'seed'"},
+      {R"({"seed": nan})", "'seed'"},
+      {R"({"seed": -1})", "'seed'"},
+      {R"({"tasks": 1e30})", "'tasks'"},
+      {R"({"tasks": nan})", "'tasks'"},
+      {R"({"strategy": {"pilots": -1e12}})", "'strategy.pilots'"},
+  };
+  for (const auto& c : cases) {
+    auto parsed = exp::parse_run_request("request body", c.json);
+    ASSERT_FALSE(parsed.ok()) << c.json;
+    EXPECT_NE(parsed.error().find(c.field), std::string::npos) << parsed.error();
+  }
+}
+
+TEST(RunRequestValidate, NonFiniteDoublesAreRefusedByField) {
+  exp::RunRequest req = quick_request();
+  const std::pair<const char*, double*> fields[] = {
+      {"warmup_hours", &req.warmup_hours},
+      {"deadline_s", &req.deadline_s},
+      {"campaign.arrival", &req.campaign.arrival.poisson_per_hour},
+      {"faults.pilot_failure_rate", &req.faults.pilot_failure_rate},
+      {"admission.quota", &req.admission.quota.max_core_hours},
+      {"admission.max_queue_wait_s", &req.admission.max_queue_wait_s},
+      {"admission.breaker_threshold", &req.admission.breaker_threshold},
+      {"admission.breaker_cooldown_s", &req.admission.breaker_cooldown_s},
+      {"observability.sample_interval_s", &req.observability.sample_interval_s},
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [path, field] : fields) {
+    const double saved = *field;
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+      *field = bad;
+      const auto st = exp::validate(req);
+      ASSERT_FALSE(st.ok()) << path << " = " << bad;
+      EXPECT_NE(st.error().find(std::string("'") + path + "'"), std::string::npos)
+          << st.error();
+    }
+    *field = saved;
+  }
+}
+
+TEST(RunRequestCli, NonFiniteFlagValuesAreRefused) {
+  for (const char* flag : {"--warmup", "--deadline", "--pilot-failure-rate",
+                           "--max-queue-wait", "--breaker-cooldown"}) {
+    for (const char* value : {"nan", "inf"}) {
+      exp::RunRequest req;
+      bool quick = false;
+      common::cli::Parser cli("test");
+      exp::declare_request_options(cli, req, quick);
+      std::vector<const char*> argv = {"test", flag, value};
+      auto parsed = cli.parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
+      ASSERT_FALSE(parsed.ok()) << flag << " " << value;
+      EXPECT_NE(parsed.error().find(flag), std::string::npos) << parsed.error();
+    }
+  }
+}
+
+TEST(RunRequestJson, LegacyShardingObjectIsAcceptedOnlyWhenAllZero) {
+  // Requests journaled while intra-trial sharding existed carry this object.
+  auto legacy = exp::parse_run_request(
+      "request body",
+      R"({"tasks": 8, "sharding": {"shards": 0, "grid_sites": 0, "shard_workers": 0}})");
+  ASSERT_TRUE(legacy.ok()) << legacy.error();
+  EXPECT_EQ(legacy->tasks, 8);
+  EXPECT_EQ(exp::run_request_to_json(*legacy).find("sharding"), std::string::npos);
+
+  for (const char* key : {"shards", "grid_sites", "shard_workers"}) {
+    const std::string json = std::string(R"({"sharding": {")") + key + R"(": 2}})";
+    auto refused = exp::parse_run_request("request body", json);
+    ASSERT_FALSE(refused.ok()) << json;
+    EXPECT_NE(refused.error().find(std::string("'sharding.") + key + "'"), std::string::npos)
+        << refused.error();
+  }
+}
+
+TEST(RunRequestCli, RemovedShardingFlagsAreUnknownArguments) {
+  for (const char* flag : {"--shards", "--grid-sites", "--shard-workers"}) {
+    exp::RunRequest req;
+    bool quick = false;
+    common::cli::Parser cli("test");
+    exp::declare_request_options(cli, req, quick);
+    std::vector<const char*> argv = {"test", flag, "2"};
+    auto parsed = cli.parse(static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
+    ASSERT_FALSE(parsed.ok()) << flag;
+    EXPECT_NE(parsed.error().find("unknown"), std::string::npos) << parsed.error();
+  }
 }
 
 TEST(RunRequestValidate, BoundsAndConflicts) {

@@ -17,6 +17,12 @@ struct ProfileCase {
   int size;
 };
 
+// Without a printer GoogleTest dumps the raw bytes, pointers included, into
+// every test name, so the names changed with each build and each run.
+std::ostream& operator<<(std::ostream& out, const ProfileCase& c) {
+  return out << "size=" << c.size;
+}
+
 SkeletonSpec make_mapreduce(int n) {
   return profiles::map_reduce(n, std::max(1, n / 4), common::DistributionSpec::constant(120),
                               common::DistributionSpec::constant(60));

@@ -326,7 +326,6 @@ int run_single(const Args& args, const exp::ResolvedRun& resolved) {
   config.execution.recovery = tweaks.recovery;
   config.faults = tweaks.faults;
   config.observability = tweaks.observability;
-  config.sharding = tweaks.sharding;
 
   const auto app = skeleton::materialize(resolved.app.skeleton, seed);
   std::printf("application '%s': %zu tasks in %zu stage(s), %s compute, %s external input\n",
@@ -394,8 +393,8 @@ int run_single(const Args& args, const exp::ResolvedRun& resolved) {
   if (aimes.recorder() != nullptr) {
     std::printf("  peak concurrent executing units (sampled gauge): %zu\n",
                 report.metrics.peak_units_executing);
-    std::printf("  engine: %zu events executed, peak queue %zu\n", aimes.world().executed(),
-                aimes.world().peak_queued());
+    std::printf("  engine: %zu events executed, peak queue %zu\n", aimes.engine().executed(),
+                aimes.engine().peak_queued());
     if (!emit_observability(args, aimes.recorder()->snapshot(true))) return 1;
   }
 

@@ -12,10 +12,9 @@
 #      enforces the admission shape checks (goodput ratio, wait bound, typed
 #      sheds, jobs-sweep determinism), plus greps pinning the JSON evidence
 #      fields (shed_rate, checksums, admission waits);
-#   4. Sharded-substrate smoke: bench/substrate_sharded --quick, whose exit
-#      code enforces bit-identical digests across --shards 1/2/4/8, plus
-#      greps pinning the committed evidence (speedup field present, recorded
-#      from a Release build);
+#   4. Flake gate: the sanitize and chaos labels repeated 20 times in random
+#      order, the oversized-request (413) test repeated 200 times, and a grep
+#      that the committed BENCH_substrate.json was recorded from Release;
 #   5. Control-plane smoke: start aimesd on an ephemeral port, submit the
 #      --quick campaign through aimesc --wait (which live-streams the run
 #      log), require the daemon's determinism checksum to equal the same
@@ -27,11 +26,13 @@
 #      SIGKILL mid-run followed by a restart on the same journal — the
 #      finished run must replay complete and the orphan must come back
 #      failed with the typed daemon-restart reason;
-#   7. Sanitize (ASan/UBSan) build + the chaos and sanitize labels — the
+#   7. Control-plane chaos smoke: a daemon under --net-faults and quotas,
+#      exactly-once keyed submits, SIGKILL/restart resume, typed refusals,
+#      and the full API over --socket;
+#   8. Sanitize (ASan/UBSan) build + the chaos and sanitize labels — the
 #      fault-injection paths are where lifetime bugs hide;
-#   8. Thread (TSan) build + the sanitize label — races in the parallel
-#      trial runner (sim::ReplicaPool) and the sharded window coordinator
-#      (sim::ShardedEngine's barrier/mailbox/park handoffs).
+#   9. Thread (TSan) build + the sanitize label — races in the parallel
+#      trial runner (sim::ReplicaPool) and the control plane's threads.
 #
 # Exits non-zero on the first failing step. Build trees default to
 # build-verify-{release,asan,tsan} so an existing ./build is untouched.
@@ -83,22 +84,19 @@ grep -q '"shed_rate"' "$src_dir/BENCH_campaign.json"
 grep -q '"checksum"' "$src_dir/BENCH_campaign.json"
 echo "campaign-scale smoke OK ($camp_json)"
 
-step "Sharded-substrate smoke (cross-shard determinism + speedup evidence)"
-sharded_json="$prefix-release/smoke-sharded.json"
-# The bench exits non-zero when digests or span checksums diverge across
-# --shards 1/2/4/8 (or when a >= 8-thread host misses the speedup target),
-# so the run itself is the determinism check; the greps pin the JSON schema.
-"$prefix-release/bench/substrate_sharded" --quick --json "$sharded_json"
-grep -q '"deterministic_across_shards": true' "$sharded_json"
-grep -q '"speedup_shards8"' "$sharded_json"
-# The committed evidence must show the same determinism, carry the speedup
-# field, and have been recorded from a Release build — debug numbers are
-# refused at the source (bench_util's require_release_artifacts and the
-# bench-*-json guard), and this grep catches a stale pre-guard file.
-grep -q '"deterministic_across_shards": true' "$src_dir/BENCH_substrate.json"
-grep -q '"speedup_shards8"' "$src_dir/BENCH_substrate.json"
+step "Flake gate (sanitize/chaos suites repeated + the 413 early-error race)"
+# Suites on real sockets and threads are checked for flakes by repetition:
+# every test in them 20 times in random order, then the oversized-request
+# test, whose client used to lose the 413 to a connection reset, 200 times.
+ctest --test-dir "$prefix-release" -j "$jobs" -L 'sanitize|chaos' \
+  --repeat until-fail:20 --schedule-random --output-on-failure
+"$prefix-release/tests/aimes_tests" --gtest_brief=1 --gtest_repeat=200 \
+  --gtest_filter='HttpServer.OversizedRequestGets413AtTheMessageCap'
+# The committed substrate numbers must come from a Release build: debug
+# numbers are refused at the source (bench_util's require_release_artifacts
+# and the bench-*-json guard), and this grep catches a stale pre-guard file.
 grep -q '"aimes_build_type": "release"' "$src_dir/BENCH_substrate.json"
-echo "sharded-substrate smoke OK ($sharded_json)"
+echo "flake gate OK"
 
 step "Control-plane smoke (aimesd/aimesc round trip + CLI checksum parity)"
 port_file="$prefix-release/aimesd.port"
